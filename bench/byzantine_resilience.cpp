@@ -52,7 +52,6 @@ Cell run_cell(const graph::Graph& g, std::size_t k, double fraction,
   for (std::size_t r = 0; r < runs; ++r) {
     sim::Rng rng = sim::Rng::for_run(seed, r);
     core::AgConfig cfg;
-    cfg.verify_inserts = fraction > 0.0;
     const auto placement = core::single_source(k, 0);
     core::UniformAG<core::Gf2Decoder> proto(g, placement, cfg);
 

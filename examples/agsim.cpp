@@ -29,8 +29,9 @@
 //
 // Byzantine scenarios (uniform-ag and uncoded):
 //   --byzantine F   a fraction F of nodes (at least one) forge every message
-//                   they originate; insert-time verification is armed
-//                   automatically.  AG_BYZANTINE=F is the env equivalent.
+//                   they originate; insert-time verification (always on)
+//                   rejects the malformed ones.  AG_BYZANTINE=F is the env
+//                   equivalent.
 //   --attack M      rank-waste | malformed | garbage | equivocate (default)
 //   Note a message initially owned ONLY by a Byzantine node is unrecoverable
 //   (its owner lies on every send); use --placement source with an honest
@@ -119,8 +120,8 @@ struct Options {
                "           --shards S (intra-run sharded engine, uniform-ag sync only;\n"
                "           rounds are identical for every S, S=0 reads AG_SHARDS)\n"
                "byzantine: --byzantine F (fraction of forging nodes, at least one;\n"
-               "           AG_BYZANTINE=F is the env equivalent; uniform-ag/uncoded,\n"
-               "           arms insert-time verification), --attack rank-waste|\n"
+               "           AG_BYZANTINE=F is the env equivalent; uniform-ag/uncoded),\n"
+               "           --attack rank-waste|\n"
                "           malformed|garbage|equivocate (default equivocate)\n");
   std::exit(2);
 }
@@ -381,8 +382,6 @@ int main(int argc, char** argv) {
     cfg.payload_len = o.payload;
     cfg.drop_probability = o.drop;
     cfg.drop_seed = o.seed * 1000 + r;
-    // Forged frames must never reach a decoder's elimination path.
-    cfg.verify_inserts = o.byzantine > 0.0;
 
     if (o.protocol == "uniform-ag" && o.shards_set) {
       auto topo = make_view(o, g ? &*g : nullptr);

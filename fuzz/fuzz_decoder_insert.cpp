@@ -26,8 +26,7 @@
 #include <vector>
 
 #include "fuzz_common.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "net/wire.hpp"
 
 namespace {

@@ -7,7 +7,7 @@
 
 #include "core/swarm.hpp"
 #include "gf/gf2.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "sim/rng.hpp"
 #include "util/urbg.hpp"
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "gf/gf2.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "sim/rng.hpp"
 #include "util/urbg.hpp"
 

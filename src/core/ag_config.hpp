@@ -25,12 +25,6 @@ struct AgConfig {
   // this probability).  The paper's rule is recode = true, density = 1.
   bool recode = true;
   double coding_density = 1.0;
-  // Insert-time verification (linalg/verify.hpp): shape/range-check every
-  // received packet before it reaches the decoder, counting rejects per
-  // node.  MUST be on whenever Byzantine injection (sim/adversary.hpp) is
-  // attached -- the decoders assume canonical packet shapes.  Off by
-  // default: honest runs pay nothing and stay stream-identical.
-  bool verify_inserts = false;
 };
 
 }  // namespace ag::core

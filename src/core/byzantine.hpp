@@ -55,8 +55,7 @@
 #include <variant>
 
 #include "gf/field_concept.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "sim/adversary.hpp"
 #include "util/urbg.hpp"
 
@@ -193,9 +192,8 @@ typename sim::AdversarialTransport<Msg>::Forge make_forge(ByzantineShape sh) {
 /// channel) decorated with the adversary.  Call before the first send.
 /// Returns the decorator (owned by the protocol) for stats access.
 ///
-/// The protocol's own insert-time verification MUST be armed for coded
-/// protocols (AgConfig.verify_inserts) -- the decoders assume canonical
-/// shapes and must never see a forged frame.
+/// Coded protocols reject forged shapes at RlncSwarm::receive (always on):
+/// the decoders assume canonical shapes and never see a forged frame.
 template <typename Msg, typename Protocol>
 sim::AdversarialTransport<Msg>* attach_adversary(
     Protocol& proto, std::shared_ptr<sim::Adversary> adversary, ByzantineShape sh,

@@ -48,7 +48,6 @@ class FixedTreeAG
     if (cfg.drop_probability > 0.0) {
       this->set_drop_probability(cfg.drop_probability, cfg.drop_seed);
     }
-    if (cfg.verify_inserts) swarm_.enable_verification();
   }
 
   std::size_t node_count() const noexcept { return tree_->node_count(); }

@@ -32,7 +32,7 @@ namespace ag::core {
 struct Unseeded {};
 
 /// \tparam D     decoder type: DenseDecoder<F>, BitDecoder, or the rank-only
-///               trackers (linalg/rank_tracker.hpp)
+///               trackers (all linalg::Eliminator aliases)
 /// \tparam Store storage policy providing at(v)/reset(v); defaults to one
 ///               self-contained decoder object per node
 template <typename D, typename Store = VectorNodeStore<D>>
@@ -130,22 +130,11 @@ class RlncSwarm {
   std::uint64_t helpful_receives() const noexcept { return helpful_; }
   std::uint64_t useless_receives() const noexcept { return useless_; }
 
-  /// Arms the insert-time verification hook (linalg/verify.hpp): every
-  /// received packet is shape/range-checked BEFORE it reaches the decoder,
-  /// and rejects are counted swarm-wide and per node.  Mandatory whenever an
-  /// adversary may inject malformed frames -- the decoders assume canonical
-  /// shapes (their insert() asserts them) and must never see a hostile
-  /// packet.  Off by default: the honest hot path pays nothing.
-  void enable_verification() {
-    verify_inserts_ = true;
-    malformed_per_node_.assign(finish_round_.size(), 0);
-  }
-  bool verification_enabled() const noexcept { return verify_inserts_; }
-
-  /// Packets rejected by the verification hook (swarm-wide / per node).
+  /// Packets rejected by the shape check of receive() (swarm-wide / per
+  /// node).
   std::uint64_t malformed_receives() const noexcept { return malformed_; }
   std::uint64_t malformed_at(graph::NodeId v) const {
-    return verify_inserts_ ? malformed_per_node_[v] : 0;
+    return malformed_per_node_.empty() ? 0 : malformed_per_node_[v];
   }
 
   /// RLNC transmit rule for node v; nullopt when v stores nothing.
@@ -184,11 +173,17 @@ class RlncSwarm {
   /// Receive path: inserts into `to`'s decoder, updating completion
   /// tracking.  `now_round` stamps the completion time.  Returns true iff
   /// the packet was helpful (increased `to`'s rank).
+  ///
+  /// Every packet is first shape/range-checked (linalg::is_malformed, the
+  /// insert-time verification hook): the decoders assume canonical shapes,
+  /// so a forged packet must never reach insert().  Rejects are counted
+  /// swarm-wide and per node.  The check draws no randomness and is O(1)
+  /// for bit-packed and GF(256)/GF(65536) packets.
   bool receive(graph::NodeId to, const packet_type& pkt, std::uint64_t now_round) {
     decltype(auto) d = store_.at(to);
-    if (verify_inserts_ && linalg::is_malformed(d, pkt)) {
+    if (linalg::is_malformed(d, pkt)) {
       ++malformed_;
-      ++malformed_per_node_[to];
+      ++malformed_count(to);
       return false;
     }
     if (d.insert(pkt)) {
@@ -207,7 +202,8 @@ class RlncSwarm {
   struct ReceiveTally {
     std::uint64_t helpful = 0;
     std::uint64_t useless = 0;
-    std::uint64_t malformed = 0;  ///< rejected by the verification hook
+    std::uint64_t malformed = 0;  ///< rejected by the shape check
+    std::vector<graph::NodeId> malformed_to;  ///< their receivers
     std::size_t completed = 0;  ///< nodes that reached full rank this phase
   };
 
@@ -218,9 +214,9 @@ class RlncSwarm {
   bool receive_tallied(graph::NodeId to, const packet_type& pkt,
                        std::uint64_t now_round, ReceiveTally& tally) {
     decltype(auto) d = store_.at(to);
-    if (verify_inserts_ && linalg::is_malformed(d, pkt)) {
+    if (linalg::is_malformed(d, pkt)) {
       ++tally.malformed;
-      ++malformed_per_node_[to];  // node-local write: shard-safe
+      tally.malformed_to.push_back(to);
       return false;
     }
     if (d.insert(pkt)) {
@@ -241,6 +237,7 @@ class RlncSwarm {
     helpful_ += t.helpful;
     useless_ += t.useless;
     malformed_ += t.malformed;
+    for (const graph::NodeId v : t.malformed_to) ++malformed_count(v);
     complete_ += t.completed;
   }
 
@@ -270,6 +267,12 @@ class RlncSwarm {
   }
 
  private:
+  // Sized on the first reject, so honest runs allocate nothing for it.
+  std::uint64_t& malformed_count(graph::NodeId v) {
+    if (malformed_per_node_.empty()) malformed_per_node_.assign(node_count(), 0);
+    return malformed_per_node_[v];
+  }
+
   void mark_finished(graph::NodeId v, std::uint64_t round) {
     if (finish_round_[v] == kNotFinished) {
       finish_round_[v] = round;
@@ -286,8 +289,7 @@ class RlncSwarm {
   std::uint64_t helpful_ = 0;
   std::uint64_t useless_ = 0;
   std::uint64_t malformed_ = 0;
-  bool verify_inserts_ = false;
-  std::vector<std::uint64_t> malformed_per_node_;  // sized by enable_verification()
+  std::vector<std::uint64_t> malformed_per_node_;
 };
 
 }  // namespace ag::core

@@ -11,10 +11,11 @@
 ///     per node, exactly the pre-policy behaviour.  Right for full decoders
 ///     (payload arenas, per-node scratch) at the n of the paper's figures.
 ///
-///   * DenseRankStore<F> / BitRankStore: structure-of-arrays pools for the
-///     rank-only trackers (linalg/rank_tracker.hpp).  ALL nodes' rows live
-///     in one arena allocation (n * k * stride symbols), pivot maps and rank
-///     counters are flat arrays, and scratch is one stripe *per shard* of a
+///   * DenseRankStore<F> / BitRankStore: the two aliases of PooledRankStore,
+///     a structure-of-arrays pool of rank-only eliminator state
+///     (linalg/eliminator.hpp).  ALL nodes' rows live in one arena
+///     allocation (n * k * words symbols), pivot maps and rank counters are
+///     flat arrays, and scratch is one stripe *per shard* of a
 ///     ShardPlan (core/shard_plan.hpp): at(v) hands out the stripe of the
 ///     shard owning v, so the sharded round runner can insert into nodes of
 ///     different shards concurrently without the stripes aliasing.  The
@@ -44,7 +45,7 @@
 
 #include "core/shard_plan.hpp"
 #include "graph/graph.hpp"
-#include "linalg/rank_tracker.hpp"
+#include "linalg/eliminator.hpp"
 
 namespace ag::core {
 
@@ -63,17 +64,10 @@ class VectorNodeStore {
   D& at(graph::NodeId v) { return nodes_[v]; }
   const D& at(graph::NodeId v) const { return nodes_[v]; }
 
-  /// Churn/recycle reset: node v restarts with an empty decoder.  Decoders
-  /// exposing clear() (DenseDecoder) are recycled in place, keeping their
-  /// arena capacity -- what makes the streaming layer's decode-and-evict
-  /// pipeline allocation-free in steady state; others are reconstructed.
-  void reset(graph::NodeId v) {
-    if constexpr (requires(D& d) { d.clear(); }) {
-      nodes_[v].clear();
-    } else {
-      nodes_[v] = D(k_, payload_len_);
-    }
-  }
+  /// Churn/recycle reset: node v restarts with an empty decoder, recycled
+  /// in place so it keeps its arena -- what makes the streaming layer's
+  /// decode-and-evict pipeline allocation-free in steady state.
+  void reset(graph::NodeId v) { nodes_[v].clear(); }
 
   /// No-op: every decoder object already owns its scratch, so the store is
   /// shard-safe under the contiguous-range discipline as constructed.
@@ -93,94 +87,26 @@ class VectorNodeStore {
   std::vector<D> nodes_;
 };
 
-/// \brief Structure-of-arrays pool of DenseRankTracker<F> state.
+/// \brief Structure-of-arrays pool of rank-only eliminator state over row
+/// trait Row (linalg::SymbolRows<F> or linalg::WordRows).
 ///
-/// at(v) returns a linalg::DenseRankTrackerRef<F> by value -- a thin view
-/// into the pool; RlncSwarm accesses decoders via decltype(auto), so value
-/// views and references interoperate.
-template <gf::GaloisField F>
-class DenseRankStore {
+/// at(v) returns a linalg::Eliminator view by value -- a thin window onto
+/// node v's rows, pivot map and rank counter plus its shard's scratch stripe;
+/// RlncSwarm accesses decoders via decltype(auto), so value views and
+/// references interoperate.  Rows are unpadded: at k = 32 over GF(2) a
+/// node's whole state is 32 words of rows + 32 pivots + 1 rank counter.
+template <typename Row>
+class PooledRankStore {
  public:
-  using decoder_type = linalg::DenseRankTracker<F>;
-  using ref_type = linalg::DenseRankTrackerRef<F>;
-  using const_ref_type = linalg::DenseRankTrackerConstRef<F>;
-  using value_type = typename F::value_type;
+  using value_type = typename Row::value_type;
+  using decoder_type = linalg::Eliminator<linalg::OwnedRows<Row, false>>;
+  using ref_type = linalg::Eliminator<linalg::PoolView<Row, true>>;
+  using const_ref_type = linalg::Eliminator<linalg::PoolView<Row, false>>;
 
   /// payload_len is accepted for signature compatibility and ignored
   /// (rank-only storage has no payload arena).
-  DenseRankStore(std::size_t n, std::size_t k, std::size_t /*payload_len*/ = 0)
-      : n_(n), k_(k),
-        arena_(n * k * k, F::zero),
-        pivot_row_(n * k, linalg::kNoPivot),
-        rank_(n, 0),
-        plan_(n, 1),
-        scratch_(k, F::zero) {}
-
-  ref_type at(graph::NodeId v) {
-    return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * k_,
-                    pivot_row_.data() + static_cast<std::size_t>(v) * k_,
-                    rank_.data() + v, scratch_stripe(v), k_);
-  }
-  /// Const access yields a view without insert(), mirroring how a const
-  /// VectorNodeStore yields `const D&`: const swarm access cannot mutate
-  /// decoder state behind the completion tracking.  (The scratch stripe it
-  /// carries is per-call workspace for contains(), not decoder state.)
-  const_ref_type at(graph::NodeId v) const {
-    return const_ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * k_,
-                          pivot_row_.data() + static_cast<std::size_t>(v) * k_,
-                          rank_.data() + v, scratch_stripe(v), k_);
-  }
-
-  void reset(graph::NodeId v) {
-    const std::size_t base = static_cast<std::size_t>(v) * k_;
-    std::fill(arena_.begin() + static_cast<std::ptrdiff_t>(base * k_),
-              arena_.begin() + static_cast<std::ptrdiff_t>((base + k_) * k_), F::zero);
-    std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
-              pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
-              linalg::kNoPivot);
-    rank_[v] = 0;
-  }
-
-  /// Size the scratch pool for `shards`-way concurrent access: one stripe
-  /// per shard of the (n, shards) ShardPlan.  Not safe to call while views
-  /// from at() are live (they hold stripe pointers into the old pool).
-  void configure_shards(std::size_t shards) {
-    plan_ = ShardPlan(n_, shards);
-    scratch_.assign(plan_.shard_count() * k_, F::zero);
-  }
-
-  std::size_t memory_bytes() const noexcept {
-    return arena_.size() * sizeof(value_type) +
-           pivot_row_.size() * sizeof(std::uint32_t) +
-           rank_.size() * sizeof(std::uint32_t) + scratch_.size() * sizeof(value_type);
-  }
-
- private:
-  value_type* scratch_stripe(graph::NodeId v) const noexcept {
-    return scratch_.data() + plan_.shard_of(v) * k_;
-  }
-
-  std::size_t n_;
-  std::size_t k_;
-  std::vector<value_type> arena_;        // n * k rows of k symbols
-  std::vector<std::uint32_t> pivot_row_; // n * k pivot->row maps
-  std::vector<std::uint32_t> rank_;      // n rank counters
-  ShardPlan plan_;                       // owner of the stripe <-> node map
-  mutable std::vector<value_type> scratch_;  // one stripe per shard
-};
-
-/// \brief Structure-of-arrays pool of BitRankTracker state (GF(2), packed).
-///
-/// The large-n configuration: at k = 32 a node's whole decoder state is
-/// 32 words of rows + 32 pivots + 1 rank counter inside three flat arrays.
-class BitRankStore {
- public:
-  using decoder_type = linalg::BitRankTracker;
-  using ref_type = linalg::BitRankTrackerRef;
-  using const_ref_type = linalg::BitRankTrackerConstRef;
-
-  BitRankStore(std::size_t n, std::size_t k, std::size_t /*payload_words*/ = 0)
-      : n_(n), k_(k), words_(linalg::BitDecoder::words_for(k)),
+  PooledRankStore(std::size_t n, std::size_t k, std::size_t /*payload_len*/ = 0)
+      : n_(n), k_(k), words_(Row::words_for(k)),
         arena_(n * k * words_, 0),
         pivot_row_(n * k, linalg::kNoPivot),
         rank_(n, 0),
@@ -188,53 +114,58 @@ class BitRankStore {
         scratch_(words_, 0) {}
 
   ref_type at(graph::NodeId v) {
-    return ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * words_,
-                    pivot_row_.data() + static_cast<std::size_t>(v) * k_,
+    return ref_type(arena_.data() + row_base(v), pivot_row_.data() + pivot_base(v),
                     rank_.data() + v, scratch_stripe(v), k_);
   }
-  /// Const access yields a view without insert() (see DenseRankStore::at).
+  /// Const access yields a view without insert(), mirroring how a const
+  /// VectorNodeStore yields `const D&`: const swarm access cannot mutate
+  /// decoder state behind the completion tracking.  (The scratch stripe it
+  /// carries is per-call workspace for contains(), not decoder state.)
   const_ref_type at(graph::NodeId v) const {
-    return const_ref_type(arena_.data() + static_cast<std::size_t>(v) * k_ * words_,
-                          pivot_row_.data() + static_cast<std::size_t>(v) * k_,
+    return const_ref_type(arena_.data() + row_base(v), pivot_row_.data() + pivot_base(v),
                           rank_.data() + v, scratch_stripe(v), k_);
   }
 
-  void reset(graph::NodeId v) {
-    const std::size_t base = static_cast<std::size_t>(v) * k_;
-    std::fill(arena_.begin() + static_cast<std::ptrdiff_t>(base * words_),
-              arena_.begin() + static_cast<std::ptrdiff_t>((base + k_) * words_), 0);
-    std::fill(pivot_row_.begin() + static_cast<std::ptrdiff_t>(base),
-              pivot_row_.begin() + static_cast<std::ptrdiff_t>(base + k_),
-              linalg::kNoPivot);
-    rank_[v] = 0;
-  }
+  void reset(graph::NodeId v) { at(v).clear(); }
 
-  /// One scratch stripe per shard; see DenseRankStore::configure_shards.
+  /// Size the scratch pool for `shards`-way concurrent access: one stripe
+  /// per shard of the (n, shards) ShardPlan.  Not safe to call while views
+  /// from at() are live (they hold stripe pointers into the old pool).
   void configure_shards(std::size_t shards) {
     plan_ = ShardPlan(n_, shards);
     scratch_.assign(plan_.shard_count() * words_, 0);
   }
 
   std::size_t memory_bytes() const noexcept {
-    return arena_.size() * sizeof(std::uint64_t) +
-           pivot_row_.size() * sizeof(std::uint32_t) +
-           rank_.size() * sizeof(std::uint32_t) +
-           scratch_.size() * sizeof(std::uint64_t);
+    return (arena_.size() + scratch_.size()) * sizeof(value_type) +
+           (pivot_row_.size() + rank_.size()) * sizeof(std::uint32_t);
   }
 
  private:
-  std::uint64_t* scratch_stripe(graph::NodeId v) const noexcept {
+  std::size_t row_base(graph::NodeId v) const noexcept {
+    return static_cast<std::size_t>(v) * k_ * words_;
+  }
+  std::size_t pivot_base(graph::NodeId v) const noexcept {
+    return static_cast<std::size_t>(v) * k_;
+  }
+  value_type* scratch_stripe(graph::NodeId v) const noexcept {
     return scratch_.data() + plan_.shard_of(v) * words_;
   }
 
   std::size_t n_;
   std::size_t k_;
   std::size_t words_;
-  std::vector<std::uint64_t> arena_;
-  std::vector<std::uint32_t> pivot_row_;
-  std::vector<std::uint32_t> rank_;
-  ShardPlan plan_;
-  mutable std::vector<std::uint64_t> scratch_;
+  std::vector<value_type> arena_;         // n * k rows of words_ symbols
+  std::vector<std::uint32_t> pivot_row_;  // n * k pivot -> row maps
+  std::vector<std::uint32_t> rank_;       // n rank counters
+  ShardPlan plan_;                        // owner of the stripe <-> node map
+  mutable std::vector<value_type> scratch_;  // one stripe per shard
 };
+
+/// Pooled DenseRankTracker<F> state.
+template <gf::GaloisField F>
+using DenseRankStore = PooledRankStore<linalg::SymbolRows<F>>;
+/// Pooled BitRankTracker state: the large-n configuration.
+using BitRankStore = PooledRankStore<linalg::WordRows>;
 
 }  // namespace ag::core

@@ -69,7 +69,6 @@ class Tag : public sim::Mailbox<
     if (cfg.drop_probability > 0.0) {
       this->set_drop_probability(cfg.drop_probability, cfg.drop_seed);
     }
-    if (cfg.verify_inserts) swarm_.enable_verification();
   }
 
   std::size_t node_count() const noexcept { return topo_->node_count(); }

@@ -1,7 +1,7 @@
 // GF(2): the smallest field the paper's bounds apply to (q >= 2).
 //
 // Addition is XOR and multiplication is AND.  The bit-packed decoder
-// (linalg/bit_decoder.hpp) uses word-parallel XOR instead of these scalar
+// (linalg/eliminator.hpp) uses word-parallel XOR instead of these scalar
 // operations; this tag type exists so GF(2) can also flow through the generic
 // dense code paths in tests and ablations.
 #pragma once

@@ -26,7 +26,7 @@
 ///      space with probability >= 1/q -- so classify() reports them as
 ///      Redundant rather than hostile, and the decoders already refuse to
 ///      spend rank on them.  What verification adds is the *accounting*:
-///      RlncSwarm's verify mode counts rejected packets per node so a
+///      RlncSwarm counts rejected packets per node so a
 ///      monitoring layer can flag peers whose redundancy rate is wildly off
 ///      the honest baseline.
 ///
@@ -38,20 +38,18 @@
 /// and the adversary layer (sim/adversary.hpp) therefore measure *stopping
 /// time inflation*, the quantity verification does control.
 ///
-/// is_malformed() is the hot-path check: shape/range only, O(k) scans, no
-/// field arithmetic, no scratch, safe to run before every insert.
+/// is_malformed() is the hot-path check RlncSwarm::receive runs before every
+/// insert: shape/range only, no field arithmetic, no scratch -- O(1) for
+/// bit-packed and GF(256)/GF(65536) packets, an O(k) symbol scan where the
+/// carrier has spare range.
 /// classify() adds the row-space test (clobbers the decoder's contains()
 /// scratch) and is meant for tests, tooling, and offline analysis.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <span>
 
-#include "gf/field_concept.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 
 namespace ag::linalg {
 
@@ -62,44 +60,20 @@ enum class PacketClass : std::uint8_t {
   Malformed,  ///< shape or symbol-range violation; no honest encoder emits it
 };
 
-/// Shape/range verification for dense packets against any decoder-like
-/// receiver (DenseDecoder, DenseRankTracker and its views).  Returns true
-/// iff the packet could not have been produced by a canonical encoder for
-/// this receiver's (k, payload_len) shape.
-template <gf::GaloisField F, typename DecoderLike>
-bool is_malformed(const DecoderLike& d, const DensePacket<F>& pkt) noexcept {
-  if (pkt.coeffs.size() != d.message_count()) return true;
-  if (pkt.payload.size() > d.payload_length()) return true;
-  // Symbol-range check: only meaningful when the carrier type can hold
-  // values outside the field (GF(2) dense and GF(16) ride in a uint8; for
-  // GF(256)/GF(65536) the value_type range IS the field, and an unguarded
-  // comparison would be always-false and warn).
-  using value_type = typename F::value_type;
-  constexpr auto carrier_max =
-      static_cast<std::uint64_t>(std::numeric_limits<value_type>::max());
-  if constexpr (carrier_max >= static_cast<std::uint64_t>(F::order)) {
-    for (const auto c : pkt.coeffs)
-      if (static_cast<std::uint32_t>(c) >= F::order) return true;
-    for (const auto s : pkt.payload)
-      if (static_cast<std::uint32_t>(s) >= F::order) return true;
-  }
-  return false;
-}
-
-/// Shape verification for bit-packed GF(2) packets: exact coefficient word
-/// count, payload word budget, and canonical spare bits (bits >= k in the
-/// last word must be zero -- same rule the wire decoder enforces as
-/// DecodeStatus::BadSymbol).
+/// Shape/range verification against any eliminator-backed receiver
+/// (decoder, rank tracker or pooled view).  Returns true iff the packet could
+/// not have been produced by a canonical encoder for this receiver's
+/// (k, payload_len) shape: wrong coefficient word count, a payload longer
+/// than the receiver stores, or symbols the row trait marks noncanonical
+/// (GF(2) spare bits above k; out-of-field symbols where the carrier has
+/// spare range).  O(1) for bit-packed and GF(256)/GF(65536) packets.
 template <typename DecoderLike>
-bool is_malformed(const DecoderLike& d, const BitPacket& pkt) noexcept {
+bool is_malformed(const DecoderLike& d,
+                  const typename DecoderLike::packet_type& pkt) noexcept {
+  using Row = typename DecoderLike::row_traits;
   const std::size_t k = d.message_count();
-  if (pkt.coeffs.size() != BitDecoder::words_for(k)) return true;
-  if (pkt.payload.size() > d.payload_length()) return true;
-  if (k % 64 != 0 && !pkt.coeffs.empty()) {
-    const std::uint64_t spare = ~std::uint64_t{0} << (k % 64);
-    if (pkt.coeffs.back() & spare) return true;
-  }
-  return false;
+  return pkt.coeffs.size() != Row::words_for(k) ||
+         pkt.payload.size() > d.payload_length() || Row::noncanonical(pkt, k);
 }
 
 /// Full insert-time classification.  Malformed beats Redundant beats

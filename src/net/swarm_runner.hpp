@@ -24,7 +24,7 @@
 
 #include "coding/generation.hpp"
 #include "gf/gf2m.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "net/udp_transport.hpp"
 
 namespace ag::net {

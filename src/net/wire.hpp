@@ -61,8 +61,7 @@
 
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 
 namespace ag::net {
 

@@ -4,7 +4,7 @@
 // unaligned loads/stores -- but a 32-byte-aligned row never straddles a cache
 // line at AVX2 width, so the decoders allocate their arenas through this
 // allocator and pad the row stride to a 32-byte multiple (see
-// linalg/dense_decoder.hpp): every row stripe then starts on a 32-byte
+// linalg/eliminator.hpp): every row stripe then starts on a 32-byte
 // boundary and the elimination axpys run on the aligned fast path.
 #pragma once
 

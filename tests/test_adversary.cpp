@@ -1,7 +1,7 @@
 // End-to-end tests for the Byzantine scenario layer: sim::Adversary picks
 // the liars, core/byzantine.hpp forges their traffic through the transport
-// seam, and the insert-time verification hook (armed via
-// AgConfig.verify_inserts) must reject 100% of the detectable injections
+// seam, and the insert-time verification hook (RlncSwarm::receive's
+// always-on shape check) must reject 100% of the detectable injections
 // while honest nodes still reach full rank and decode.
 //
 // Placement discipline: protocol runs place all messages on a known-honest
@@ -103,7 +103,6 @@ void uniform_ag_rejects_all(AttackMode mode, std::uint64_t seed) {
   const std::size_t n = 12, k = 6;
   AgConfig cfg;
   cfg.payload_len = 2;
-  cfg.verify_inserts = true;
   core::UniformAG<D> proto(g, core::single_source(k, 5), cfg);
   auto adv = explicit_adversary(n, {0, 1, 2}, mode, seed);
   const core::ByzantineShape sh{k, proto.swarm().node(0).payload_length()};
@@ -172,7 +171,6 @@ TEST(AdversaryUniformAg, Gf65536AllModes) {
 TEST(AdversaryUniformAg, RankOnlyStoreRejectsInjection) {
   const auto g = graph::make_complete(12);
   AgConfig cfg;
-  cfg.verify_inserts = true;
   core::UniformAG<linalg::BitRankTracker, core::BitRankStore> proto(
       g, core::single_source(6, 5), cfg);
   auto adv = explicit_adversary(12, {0, 1}, AttackMode::GarbagePayload, 550);
@@ -184,6 +182,28 @@ TEST(AdversaryUniformAg, RankOnlyStoreRejectsInjection) {
   EXPECT_GT(tp->forged_sends(), 0u);
   EXPECT_EQ(proto.swarm().malformed_receives(), tp->forged_sends());
   for (graph::NodeId v = 0; v < 12; ++v) {
+    EXPECT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
+  }
+}
+
+// Regression: the shape check needs no opt-in.  With a default AgConfig,
+// forged GF(2) coefficient vectors (dirty spare bits above k, wrong word
+// counts) used to reach BitDecoder::insert, which read the pivot map past
+// k -- a heap overflow in release builds.  Every forgery must instead be
+// counted as malformed and the run must complete.
+TEST(AdversaryUniformAg, DefaultConfigRejectsMalformedGf2Coeffs) {
+  const auto g = graph::make_complete(12);
+  const std::size_t n = 12, k = 6;
+  core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(k, 5), AgConfig{});
+  auto adv = explicit_adversary(n, {0, 1, 2}, AttackMode::MalformedCoeffs, 555);
+  auto* tp = core::attach_adversary<linalg::BitPacket>(
+      proto, adv, core::ByzantineShape{k, proto.swarm().node(0).payload_length()});
+  sim::Rng rng = sim::Rng::for_run(555, 0);
+  const auto res = sim::run(proto, rng, 200000);
+  ASSERT_TRUE(res.completed);
+  EXPECT_GT(tp->forged_sends(), 0u);
+  EXPECT_EQ(proto.swarm().malformed_receives(), tp->forged_sends());
+  for (graph::NodeId v = 0; v < n; ++v) {
     EXPECT_TRUE(proto.swarm().node(v).full_rank()) << "v=" << v;
   }
 }
@@ -200,7 +220,6 @@ TEST(AdversaryUniformAg, EquivocateBroadcastMixesFamilies) {
   AgConfig cfg;
   cfg.payload_len = 1;
   cfg.direction = sim::Direction::Broadcast;
-  cfg.verify_inserts = true;
   core::UniformAG<core::Gf256Decoder> proto(g, core::single_source(4, 3), cfg);
   auto adv = explicit_adversary(8, {0}, AttackMode::Equivocate, 560);
   const core::ByzantineShape sh{4, proto.swarm().node(0).payload_length()};
@@ -220,16 +239,14 @@ TEST(AdversaryUniformAg, EquivocateBroadcastMixesFamilies) {
 
 // ---------------------------------------------------------------------------
 // Determinism: an adversarial run is fully determined by (seed, scenario),
-// and attaching a zero-member adversary or arming verification on honest
-// traffic perturbs nothing.
+// and attaching a zero-member adversary perturbs nothing.
 // ---------------------------------------------------------------------------
 
 TEST(AdversaryUniformAg, AdversarialRunsAreDeterministic) {
   const auto g = graph::make_barbell(12);
   const auto run_once = [&] {
     AgConfig cfg;
-    cfg.verify_inserts = true;
-    core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 8), cfg);
+      core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 8), cfg);
     auto adv = explicit_adversary(12, {0, 11}, AttackMode::Equivocate, 570);
     auto* tp = core::attach_adversary<linalg::BitPacket>(
         proto, adv, core::ByzantineShape{5, 0});
@@ -242,29 +259,11 @@ TEST(AdversaryUniformAg, AdversarialRunsAreDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(AdversaryUniformAg, VerificationAloneIsStreamInert) {
-  // Same seed, hook armed vs not: honest packets never trip the hook and the
-  // hook draws no randomness, so the stopping round must be identical.
-  const auto g = graph::make_grid(3, 4);
-  const auto rounds_with = [&](bool verify) {
-    AgConfig cfg;
-    cfg.verify_inserts = verify;
-    core::UniformAG<core::Gf256Decoder> proto(g, core::single_source(5, 0), cfg);
-    sim::Rng rng = sim::Rng::for_run(580, 0);
-    const auto res = sim::run(proto, rng, 200000);
-    EXPECT_TRUE(res.completed);
-    EXPECT_EQ(proto.swarm().malformed_receives(), 0u);
-    return res.rounds;
-  };
-  EXPECT_EQ(rounds_with(true), rounds_with(false));
-}
-
 TEST(AdversaryUniformAg, EmptyAdversaryIsANoOp) {
   const auto g = graph::make_grid(3, 4);
   const auto rounds_with = [&](bool attach) {
     AgConfig cfg;
-    cfg.verify_inserts = true;
-    core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 0), cfg);
+      core::UniformAG<core::Gf2Decoder> proto(g, core::single_source(5, 0), cfg);
     std::uint64_t forged = 0;
     if (attach) {
       auto adv = explicit_adversary(12, {}, AttackMode::MalformedCoeffs);
@@ -295,7 +294,6 @@ TEST(AdversaryUniformAg, EmptyAdversaryIsANoOp) {
 TEST(AdversaryTag, ControlPlanePassesDataPlaneRejected) {
   const auto g = graph::make_complete(10);
   AgConfig cfg;
-  cfg.verify_inserts = true;
   sim::Rng ctor_rng(590);
   core::BroadcastStpConfig stp;
   core::Tag<core::Gf256Decoder, core::BroadcastStpPolicy> proto(
@@ -322,7 +320,6 @@ TEST(AdversaryFixedTree, LeafForgeryRejectedTreeStillDecodes) {
   const auto tree = graph::bfs_tree(g, 0);  // star: 1..9 are leaves
   AgConfig cfg;
   cfg.payload_len = 1;
-  cfg.verify_inserts = true;
   core::FixedTreeAG<core::Gf256Decoder> proto(tree, core::single_source(4, 0), cfg);
   auto adv = explicit_adversary(10, {5}, AttackMode::GarbagePayload, 591);
   const core::ByzantineShape sh{4, proto.swarm().node(0).payload_length()};
@@ -388,7 +385,6 @@ TEST(AdversaryTreeRouting, GuardRejectsButRoutingStaysFragile) {
 TEST(AdversarySwarm, TalliedReceiveCountsMalformedShardSafe) {
   core::Placement pl = core::single_source(3, 0);
   core::RlncSwarm<core::Gf256Decoder> swarm(2, pl, 1);
-  swarm.enable_verification();
   linalg::DensePacket<gf::GF256> bad;
   bad.coeffs.assign(5, 1);  // wrong length: 5 != k = 3
   bad.payload.assign(1, 0);
@@ -407,16 +403,16 @@ TEST(AdversarySwarm, TalliedReceiveCountsMalformedShardSafe) {
   EXPECT_EQ(swarm.malformed_at(0), 1u);
 }
 
-TEST(AdversarySwarm, VerificationOffNeverCountsAndAcceptsWellFormed) {
+TEST(AdversarySwarm, WellFormedPacketIsNeverCountedMalformed) {
   core::Placement pl = core::single_source(3, 0);
   core::RlncSwarm<core::Gf256Decoder> swarm(2, pl, 0);
-  EXPECT_FALSE(swarm.verification_enabled());
   EXPECT_EQ(swarm.malformed_at(1), 0u);
   linalg::DensePacket<gf::GF256> pkt;
   pkt.coeffs.assign(3, 0);
   pkt.coeffs[0] = 1;
   EXPECT_TRUE(swarm.receive(1, pkt, 0));  // well-formed unit combination
   EXPECT_EQ(swarm.malformed_receives(), 0u);
+  EXPECT_EQ(swarm.malformed_at(1), 0u);
 }
 
 }  // namespace

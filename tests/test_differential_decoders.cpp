@@ -16,8 +16,7 @@
 #include "core/decoders.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "linalg/fmatrix.hpp"
 #include "sim/rng.hpp"
 #include "util/urbg.hpp"

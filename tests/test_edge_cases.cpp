@@ -13,8 +13,7 @@
 #include "core/uniform_ag.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "linalg/bit_decoder.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "sim/engine.hpp"
 
 namespace {

@@ -11,12 +11,17 @@
 //   * Pooled storage: the structure-of-arrays stores (swarm_storage.hpp)
 //     must behave exactly like per-node tracker objects, including churn
 //     resets.
+//   * Recycling: every decoder cleared mid-sequence (clear() on the four
+//     owning aliases, reset(v) on both pooled stores) must from then on be
+//     indistinguishable from a freshly constructed one -- same verdicts,
+//     ranks and combination streams.
 //   * Golden-trace rerun: the pinned pre-refactor stopping-round vectors of
 //     test_golden_traces must be reproduced by rank-only swarms -- including
 //     a payload-carrying GF(256) config, because rank evolution is payload-
 //     independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,9 +34,8 @@
 #include "gf/gf2.hpp"
 #include "gf/gf2m.hpp"
 #include "graph/generators.hpp"
-#include "linalg/bit_decoder.hpp"
 #include "linalg/decoder_concept.hpp"
-#include "linalg/dense_decoder.hpp"
+#include "linalg/eliminator.hpp"
 #include "linalg/rank_tracker.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -71,26 +75,80 @@ std::vector<typename F::value_type> random_coeffs(std::size_t k, sim::Rng& rng,
   return c;
 }
 
+// Every transmit rule of `a` and `b` must emit the same packets (payload
+// included) and leave the same RNG state.
+template <typename A, typename B>
+void expect_same_streams(const A& a, const B& b, std::uint64_t seed) {
+  sim::Rng ra(seed), rb(seed);
+  for (int trial = 0; trial < 20; ++trial) {
+    typename A::packet_type pa;
+    typename B::packet_type pb;
+    ASSERT_EQ(a.random_combination_into(ra, pa), b.random_combination_into(rb, pb));
+    EXPECT_EQ(pa.coeffs, pb.coeffs) << trial;
+    EXPECT_EQ(pa.payload, pb.payload) << trial;
+    ASSERT_EQ(a.random_combination_into(ra, 0.4, pa),
+              b.random_combination_into(rb, 0.4, pb));
+    EXPECT_EQ(pa.coeffs, pb.coeffs) << trial;
+    EXPECT_EQ(pa.payload, pb.payload) << trial;
+    ASSERT_EQ(a.random_stored_row_into(ra, pa), b.random_stored_row_into(rb, pb));
+    EXPECT_EQ(pa.coeffs, pb.coeffs) << trial;
+    EXPECT_EQ(pa.payload, pb.payload) << trial;
+    ASSERT_EQ(ra(), rb()) << "RNG streams diverged at " << trial;
+  }
+}
+
+// Also a recycle check: halfway through, `full` and `tracker` are cleared
+// and from then on must match a fresh decoder and a fresh tracker fed only
+// the rest of the sequence.  Payloads are random so stale payload symbols
+// left in the recycled arena would show.
 template <gf::GaloisField F>
 void run_dense_differential(std::uint64_t seed, std::size_t k, std::size_t payload_len,
                             std::size_t rounds) {
   sim::Rng rng(seed);
-  linalg::DenseDecoder<F> full(k, payload_len);
-  linalg::DenseRankTracker<F> tracker(k, payload_len);
+  sim::Rng payload_rng(seed ^ 0xF00Du);
+  linalg::DenseDecoder<F> full(k, payload_len), fresh_full(k, payload_len);
+  linalg::DenseRankTracker<F> tracker(k, payload_len), fresh_tracker(k, payload_len);
   std::vector<std::vector<typename F::value_type>> sent;
+  const std::size_t clear_at = rounds / 2;
 
   for (std::size_t step = 0; step < rounds; ++step) {
+    if (step == clear_at) {
+      full.clear();
+      tracker.clear();
+      ASSERT_EQ(full.rank(), 0u);
+      ASSERT_EQ(tracker.rank(), 0u);
+    }
     const auto c = random_coeffs<F>(k, rng, sent);
     ASSERT_EQ(tracker.contains(c), full.contains(c)) << "step " << step;
+    if (step >= clear_at) {
+      ASSERT_EQ(fresh_full.contains(c), full.contains(c)) << "step " << step;
+    }
 
     linalg::DensePacket<F> pkt;
     pkt.coeffs = c;
-    pkt.payload.assign(payload_len, F::zero);  // tracker must ignore it
+    for (std::size_t j = 0; j < payload_len; ++j) {  // the tracker must ignore it
+      const auto sym = util::uniform_below(payload_rng, F::order);
+      pkt.payload.push_back(static_cast<typename F::value_type>(sym));
+    }
     const bool fv = full.insert(pkt);
     const bool tv = tracker.insert(pkt);
     ASSERT_EQ(tv, fv) << "insert verdict diverged at step " << step;
     ASSERT_EQ(tracker.rank(), full.rank()) << "rank diverged at step " << step;
     ASSERT_EQ(tracker.full_rank(), full.full_rank());
+    if (step >= clear_at) {
+      ASSERT_EQ(fresh_full.insert(pkt), fv) << "recycled decoder diverged at " << step;
+      ASSERT_EQ(fresh_tracker.insert(pkt), tv) << "recycled tracker diverged at " << step;
+      ASSERT_EQ(fresh_full.rank(), full.rank());
+    }
+  }
+  expect_same_streams(full, fresh_full, seed + 1);
+  expect_same_streams(tracker, fresh_tracker, seed + 2);
+  if (full.full_rank()) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto a = full.decoded_message(i);
+      const auto b = fresh_full.decoded_message(i);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "message " << i;
+    }
   }
 }
 
@@ -102,12 +160,17 @@ TEST(RankTracker, DifferentialVsDenseGf65536) { run_dense_differential<gf::GF655
 TEST(RankTracker, DifferentialVsBitDecoder) {
   const std::size_t k = 70;  // > 64: exercises multi-word rows
   sim::Rng rng(21);
-  linalg::BitDecoder full(k, 2);
-  linalg::BitRankTracker tracker(k, 2);
+  linalg::BitDecoder full(k, 2), fresh_full(k, 2);
+  linalg::BitRankTracker tracker(k, 2), fresh_tracker(k, 2);
   const std::size_t words = linalg::BitDecoder::words_for(k);
   std::vector<std::vector<std::uint64_t>> sent;
+  constexpr std::size_t kClearAt = 200;  // recycle both, then match fresh ones
 
   for (std::size_t step = 0; step < 400; ++step) {
+    if (step == kClearAt) {
+      full.clear();
+      tracker.clear();
+    }
     std::vector<std::uint64_t> c(words, 0);
     const auto kind = util::uniform_below(rng, 3);
     if (kind == 0 && !sent.empty()) {
@@ -121,9 +184,23 @@ TEST(RankTracker, DifferentialVsBitDecoder) {
 
     linalg::BitPacket pkt;
     pkt.coeffs = c;
-    pkt.payload.assign(2, 0xDEADBEEFu);  // tracker must ignore it
-    ASSERT_EQ(tracker.insert(pkt), full.insert(pkt)) << "step " << step;
+    pkt.payload.assign(2, 0xDEADBEEFu ^ step);  // tracker must ignore it
+    const bool fv = full.insert(pkt);
+    ASSERT_EQ(tracker.insert(pkt), fv) << "step " << step;
     ASSERT_EQ(tracker.rank(), full.rank()) << "step " << step;
+    if (step >= kClearAt) {
+      ASSERT_EQ(fresh_full.insert(pkt), fv) << "recycled decoder diverged at " << step;
+      ASSERT_EQ(fresh_tracker.insert(pkt), fv) << "recycled tracker diverged at " << step;
+      ASSERT_EQ(fresh_full.rank(), full.rank());
+    }
+  }
+  ASSERT_TRUE(full.full_rank());
+  expect_same_streams(full, fresh_full, 22);
+  expect_same_streams(tracker, fresh_tracker, 23);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto a = full.decoded_message(i);
+    const auto b = fresh_full.decoded_message(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "message " << i;
   }
 }
 
@@ -220,13 +297,10 @@ TEST(RankStore, PooledBitStoreMatchesStandaloneTrackers) {
       ASSERT_EQ(pool.at(3).rank(), 0u);
     }
   }
-  // Combination outputs from pool refs match the standalone trackers.
+  // Combination outputs from pool refs (the reset node included) match the
+  // standalone trackers.
   for (std::size_t v = 0; v < n; ++v) {
-    sim::Rng ra(v + 1), rb(v + 1);
-    linalg::BitPacket pa, pb;
-    ASSERT_EQ(pool.at(static_cast<graph::NodeId>(v)).random_combination_into(ra, pa),
-              solo[v].random_combination_into(rb, pb));
-    EXPECT_EQ(pa.coeffs, pb.coeffs);
+    expect_same_streams(pool.at(static_cast<graph::NodeId>(v)), solo[v], v + 1);
   }
 }
 
@@ -248,7 +322,11 @@ TEST(RankStore, PooledDenseStoreMatchesStandaloneTrackers) {
     if (step == 150) {
       pool.reset(2);
       solo[2] = linalg::DenseRankTracker<gf::GF256>(k);
+      ASSERT_EQ(pool.at(2).rank(), 0u);
     }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    expect_same_streams(pool.at(static_cast<graph::NodeId>(v)), solo[v], v + 1);
   }
 }
 
