@@ -5,7 +5,9 @@
 // and the word-parallel GF(2) XOR the bit-packed decoder uses.  Every
 // available GF kernel backend (scalar / ssse3 / avx2) gets its own axpy,
 // scale and xor_words series, registered at startup, so one run prints the
-// scalar-vs-SIMD throughput table directly.
+// scalar-vs-SIMD throughput table directly.  BM_XorWords_Dispatched at 1-16
+// words against the per-backend xor_words series of the same run is where
+// gf::kInlineXorWords (inline below, dispatched above) is read off.
 //
 // AG_BENCH_JSON=<path> writes google-benchmark's JSON report (including
 // bytes_per_second for the throughput benches) to <path>, same knob as the
@@ -84,6 +86,24 @@ void BM_Axpy_Dispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_Axpy_Dispatched)->Arg(64)->Arg(1024)->Arg(16384);
 
+// xor_words through the public entry point: inline up to
+// gf::kInlineXorWords words, dispatched above.  Read against the
+// BM_XorWords_<backend> series of the same run to place the crossover.
+void BM_XorWords_Dispatched(benchmark::State& state) {
+  const auto words = static_cast<std::size_t>(state.range(0));
+  ag::sim::Rng rng(10);
+  std::vector<std::uint64_t> dst(words), src(words);
+  for (auto& x : dst) x = rng();
+  for (auto& x : src) x = rng();
+  for (auto _ : state) {
+    ag::gf::xor_words(dst, src);
+    benchmark::DoNotOptimize(dst.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words) * 8);
+}
+BENCHMARK(BM_XorWords_Dispatched)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 // Per-backend kernel series, registered in main() for each backend this
 // build + CPU supports.
 void BM_Axpy_Backend(benchmark::State& state,
@@ -139,7 +159,11 @@ void register_backend_benches() {
         ->Arg(1024);
     benchmark::RegisterBenchmark(("BM_XorWords_" + name).c_str(),
                                  BM_XorWords_Backend, kt)
+        ->Arg(1)
+        ->Arg(2)
         ->Arg(4)
+        ->Arg(8)
+        ->Arg(16)
         ->Arg(64)
         ->Arg(1024);
   }

@@ -9,7 +9,9 @@
 // through a table of function pointers.  `gf::axpy` / `gf::scale` /
 // `gf::xor_words` in bulk_ops.hpp are thin dispatchers over this table, so
 // DenseDecoder, BitDecoder and all protocols pick up the fastest kernel with
-// zero call-site churn.
+// zero call-site churn.  The exception is gf::xor_words on spans of at most
+// gf::kInlineXorWords words: there the call through the table costs more
+// than the XOR, so it runs inline and never reaches a backend.
 //
 // Selection:
 //   * default: the best backend both compiled in AND supported by the CPU
@@ -75,7 +77,9 @@ std::vector<Backend> available_backends();
 
 // The selected backend / kernel table.  Resolved once on first use (CPUID +
 // AG_GF_BACKEND override) and cached; `active()` afterwards is one atomic
-// pointer load, cheap enough to sit in front of every bulk call.
+// pointer load plus an indirect call per kernel.  That is cheap next to a
+// vector-width span, but not next to a one-word GF(2) XOR, which is why
+// gf::xor_words keeps short spans inline.
 Backend active_backend() noexcept;
 const KernelTable& active() noexcept;
 

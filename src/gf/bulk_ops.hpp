@@ -7,8 +7,11 @@
 /// word-XOR kernel dispatch through the runtime-selected SIMD backend
 /// (gf/backend/backend.hpp: scalar reference, SSSE3, AVX2; pick with
 /// AG_GF_BACKEND or let CPUID decide), so every decoder and protocol gets
-/// the fastest available implementation with no call-site changes.  Other
-/// fields (GF(16), GF(2^16)) use the generic per-element loops below.
+/// the fastest available implementation with no call-site changes.  The one
+/// exception is short GF(2) word spans (at most kInlineXorWords words):
+/// xor_words() XORs those inline, because there a call through the kernel
+/// table costs more than the XOR itself.  Other fields (GF(16), GF(2^16))
+/// use the generic per-element loops below.
 ///
 /// Contract:
 ///   * dst and src must be the same length.  Earlier versions silently
@@ -115,14 +118,24 @@ void scale(std::span<typename F::value_type> dst, typename F::value_type c) noex
   }
 }
 
-/// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src, routed through
-/// the active backend (128/256-bit vector XOR under SSSE3/AVX2).
+/// Longest span xor_words() XORs inline.  Up to this many words a plain
+/// word loop beats a call through the backend table (micro_gf's
+/// BM_XorWords_Dispatched vs BM_XorWords_<backend> series, one run); a GF(2)
+/// row at k <= 256 fits, so the rank-only scaling path never dispatches.
+inline constexpr std::size_t kInlineXorWords = 4;
+
+/// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src.  Spans of at most
+/// kInlineXorWords words are XORed inline; longer ones go through the active
+/// backend (128/256-bit vector XOR under SSSE3/AVX2).
 inline void xor_words(std::span<std::uint64_t> dst,
                       std::span<const std::uint64_t> src) noexcept {
   assert(dst.size() == src.size() && "gf::xor_words: span length mismatch");
   assert(detail::spans_disjoint(dst.data(), src.data(), dst.size() * 8) &&
          "gf::xor_words: dst and src overlap");
-  if (dst.empty()) return;
+  if (dst.size() <= kInlineXorWords) {
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
+    return;
+  }
   backend::active().xor_words(dst.data(), src.data(), dst.size());
 }
 

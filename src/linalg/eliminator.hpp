@@ -37,12 +37,17 @@
 /// exact same verdicts as the same run over the full decoder of its row
 /// trait.  insert() draws no randomness, and the combination builders draw
 /// one coefficient per stored row in the same order with the same sampler
-/// whether or not a payload rides along.
+/// whether or not a payload rides along (packed GF(2) rows: one bit per row,
+/// 64 rows per draw).
 ///
 /// Storage: rows live in one flat arena, each row a contiguous
 /// [coeffs | payload] stripe, so the elimination loops stay on one cache
 /// stream and the coefficient tail and the payload are updated by ONE fused
-/// axpy / xor_words per elimination.  The RREF prefix invariant (a stored row
+/// axpy / xor_words per elimination.  Packed GF(2) rows of at most
+/// gf::kInlineXorWords words (rank-only rows up to k = 256) never dispatch,
+/// and neither the transmit rule nor back-elimination branches on a random
+/// coefficient bit: the first walks the set bits of each random word, the
+/// second XORs under a mask.  The RREF prefix invariant (a stored row
 /// is zero strictly before its pivot column) means eliminating at column p
 /// only touches [p, stride).  insert() stages the incoming row directly in
 /// the arena's next free row, so there is no steady-state allocation and no
@@ -169,15 +174,17 @@ struct SymbolRows {
     gf::axpy<F>(dst, {src, dst.size()}, c);
   }
 
-  /// The RLNC coefficient of one stored row: uniform over F_q, so the
-  /// all-zero combination is possible, exactly as the paper assumes when it
-  /// lower-bounds helpfulness by 1 - 1/q.
-  struct Draw {
-    template <typename URBG>
-    value_type operator()(URBG& rng) const {
-      return static_cast<value_type>(util::uniform_below(rng, F::order));
+  /// The RLNC transmit rule's coefficients: one uniform draw over F_q per
+  /// stored row, in row order, so the all-zero combination is possible,
+  /// exactly as the paper assumes when it lower-bounds helpfulness by
+  /// 1 - 1/q.  Calls add(i, c) for every row i < rank drawn nonzero.
+  template <typename URBG, typename Add>
+  static void combine(URBG& rng, std::size_t rank, Add&& add) {
+    for (std::size_t i = 0; i < rank; ++i) {
+      const auto c = static_cast<value_type>(util::uniform_below(rng, F::order));
+      if (c != F::zero) add(i, c);
     }
-  };
+  }
   /// The sparse variant's coefficient: uniform over the nonzero elements.
   template <typename URBG>
   static value_type draw_nonzero(URBG& rng) {
@@ -259,10 +266,17 @@ struct WordRows {
   static void normalize(value_type* /*row*/, std::size_t /*pivot*/,
                         std::size_t /*width*/) noexcept {}
 
+  /// A tail of at most gf::kInlineXorWords words is XORed under a mask made
+  /// from the pivot bit, so the 50/50 bit costs no branch; a longer tail
+  /// tests the bit and dispatches.
   static void eliminate(value_type* r, const value_type* row, std::size_t pivot,
                         std::size_t width) noexcept {
     const std::size_t w = pivot / 64;
-    if ((r[w] >> (pivot % 64)) & 1) {
+    const value_type bit = (r[w] >> (pivot % 64)) & 1;
+    if (width - w <= gf::kInlineXorWords) {
+      const value_type mask = value_type{0} - bit;
+      for (std::size_t i = w; i < width; ++i) r[i] ^= row[i] & mask;
+    } else if (bit != 0) {
       gf::xor_words({r + w, width - w}, {row + w, width - w});
     }
   }
@@ -272,23 +286,20 @@ struct WordRows {
     gf::xor_words(dst, {src, dst.size()});
   }
 
-  /// Each stored row joins with probability 1/2: one bit per row, drawn in
-  /// util::random_bits(rng, 64) batches so any URBG width is handled.
-  struct Draw {
-    value_type bits = 0;
-    unsigned avail = 0;
-    template <typename URBG>
-    value_type operator()(URBG& rng) {
-      if (avail == 0) {
-        bits = util::random_bits(rng, 64);
-        avail = 64;
+  /// Each stored row joins with probability 1/2: row i takes bit i % 64 of
+  /// the (i / 64)-th util::random_bits(rng, 64) batch, so any URBG width is
+  /// handled.  Each batch is masked to the rows it covers and its set bits
+  /// are walked with countr_zero: no branch depends on a random bit.
+  template <typename URBG, typename Add>
+  static void combine(URBG& rng, std::size_t rank, Add&& add) {
+    for (std::size_t base = 0; base < rank; base += 64) {
+      value_type bits = util::random_bits(rng, 64);
+      if (rank - base < 64) bits &= (value_type{1} << (rank - base)) - 1;
+      for (; bits != 0; bits &= bits - 1) {
+        add(base + static_cast<std::size_t>(std::countr_zero(bits)), value_type{1});
       }
-      const value_type take = bits & 1;
-      bits >>= 1;
-      --avail;
-      return take;
     }
-  };
+  }
   /// Over GF(2) the only nonzero coefficient is 1: no draw.
   template <typename URBG>
   static value_type draw_nonzero(URBG& /*rng*/) noexcept {
@@ -552,11 +563,7 @@ class Eliminator : public State {
     const std::size_t r = rank();
     if (r == 0) return false;
     zero(out);
-    typename Row::Draw draw;
-    for (std::size_t i = 0; i < r; ++i) {
-      const value_type c = draw(rng);
-      if (c != 0) accumulate(out, i, c);
-    }
+    Row::combine(rng, r, [&](std::size_t i, value_type c) { accumulate(out, i, c); });
     return true;
   }
 

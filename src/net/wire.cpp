@@ -73,7 +73,8 @@ std::size_t encode_control(const ControlFrame& f, std::vector<std::uint8_t>& out
   h.generation = generation;
   h.version = version;
   write_header(out.data(), h);
-  std::memcpy(out.data() + head, f.data.data(), f.data.size());
+  // An empty frame's data() may be null, which memcpy must never be handed.
+  if (!f.data.empty()) std::memcpy(out.data() + head, f.data.data(), f.data.size());
   return total;
 }
 

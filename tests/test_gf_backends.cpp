@@ -206,6 +206,36 @@ INSTANTIATE_TEST_SUITE_P(AllAvailable, GfBackendDifferential,
                          ::testing::ValuesIn(be::available_backends()),
                          backend_param_name);
 
+// The public gf::xor_words XORs spans of up to kInlineXorWords words inline
+// and dispatches longer ones.  Both sides of the crossover must equal the
+// scalar backend (the reference) at unaligned offsets; the `backend` ctest
+// label reruns this under every forced AG_GF_BACKEND, so the dispatched side
+// is checked against each kernel.
+TEST(GfXorWords, PublicPathMatchesScalarReference) {
+  const be::KernelTable& ref = be::detail::scalar_kernels();
+  std::uint64_t seed = 4000;
+  for (std::size_t words = 0; words <= 2 * ag::gf::kInlineXorWords; ++words) {
+    for (std::size_t off = 0; off < 4; ++off) {
+      ++seed;
+      const std::size_t dst_off = off, src_off = (off * 3 + 1) % 4;
+      std::vector<std::uint64_t> dst(8 + 4 + words + 8);
+      std::vector<std::uint64_t> src(4 + words);
+      for (std::size_t i = 0; i < dst.size(); ++i)
+        dst[i] = pattern(seed, i) * 0x0101010101010101ull;
+      for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = pattern(seed + 1, i) * 0x0101010101010101ull;
+
+      std::vector<std::uint64_t> expected = dst;
+      ref.xor_words(expected.data() + 8 + dst_off, src.data() + src_off, words);
+
+      ag::gf::xor_words({dst.data() + 8 + dst_off, words},
+                        {src.data() + src_off, words});
+      ASSERT_EQ(dst, expected) << "active=" << be::active().name << " words=" << words
+                               << " dst_off=" << dst_off << " src_off=" << src_off;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch contract
 // ---------------------------------------------------------------------------

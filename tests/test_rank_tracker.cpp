@@ -7,7 +7,9 @@
 //     thing a rank tracker drops).
 //   * Combination-stream identity: the transmit rules must consume the RNG
 //     identically (same draws, same coefficient output) -- this is what
-//     makes whole protocol runs match round for round.
+//     makes whole protocol runs match round for round.  The GF(2) rule is
+//     also pinned to a test-local reference at ranks around the 64-row
+//     draw batches.
 //   * Pooled storage: the structure-of-arrays stores (swarm_storage.hpp)
 //     must behave exactly like per-node tracker objects, including churn
 //     resets.
@@ -23,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "core/decoders.hpp"
@@ -268,6 +271,75 @@ TEST(RankTracker, BitCombinationStreamMatchesBitDecoder) {
               tracker.random_combination_into(rb, pb));
     EXPECT_EQ(pa.coeffs, pb.coeffs);
     ASSERT_EQ(ra(), rb()) << "bit-batch streams diverged at " << trial;
+  }
+}
+
+// The GF(2) transmit rule, pinned against a test-local reference: one
+// util::random_bits(rng, 64) draw per 64 stored rows, and row i joins iff
+// bit i % 64 of its batch is set.  The ranks straddle the batch edges, so
+// the partial last batch (and the exactly-full one) are covered; a 32-bit
+// engine checks the draw is width-independent.  Messages are random words
+// and every inserted payload is consistent with them, so the expected
+// payload is the expected coefficient vector applied to the messages.
+template <typename URBG>
+void expect_bit_stream_matches_reference(std::size_t rank) {
+  constexpr std::size_t k = 150, kPayload = 2;
+  const std::size_t words = linalg::BitDecoder::words_for(k);
+  sim::Rng rng(1000 + rank);
+  std::vector<std::vector<std::uint64_t>> msg(k, std::vector<std::uint64_t>(kPayload));
+  for (auto& m : msg)
+    for (auto& w : m) w = util::random_bits(rng, 64);
+  const auto payload_of = [&](const std::vector<std::uint64_t>& coeffs) {
+    std::vector<std::uint64_t> p(kPayload, 0);
+    for (std::size_t j = 0; j < k; ++j) {
+      if ((coeffs[j / 64] >> (j % 64)) & 1) {
+        for (std::size_t w = 0; w < kPayload; ++w) p[w] ^= msg[j][w];
+      }
+    }
+    return p;
+  };
+
+  linalg::BitDecoder full(k, kPayload);
+  linalg::BitRankTracker tracker(k);
+  while (full.rank() < rank) {
+    linalg::BitPacket pkt;
+    pkt.coeffs.resize(words);
+    for (auto& w : pkt.coeffs) w = util::random_bits(rng, 64);
+    pkt.coeffs[words - 1] &= (std::uint64_t{1} << (k % 64)) - 1;
+    pkt.payload = payload_of(pkt.coeffs);
+    ASSERT_EQ(tracker.insert(pkt), full.insert(pkt));
+  }
+  ASSERT_EQ(tracker.rank(), rank);
+
+  const auto seed = static_cast<typename URBG::result_type>(7 + rank);
+  URBG r_full(seed), r_tracker(seed), r_ref(seed);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<std::uint64_t> want(words, 0);
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < rank; ++i) {
+      if (i % 64 == 0) bits = util::random_bits(r_ref, 64);
+      if ((bits >> (i % 64)) & 1) {
+        const auto row = full.stored_coeff_row(i);
+        for (std::size_t w = 0; w < words; ++w) want[w] ^= row[w];
+      }
+    }
+    linalg::BitPacket pf, pt;
+    ASSERT_TRUE(full.random_combination_into(r_full, pf));
+    ASSERT_TRUE(tracker.random_combination_into(r_tracker, pt));
+    EXPECT_EQ(pf.coeffs, want) << "rank " << rank << " trial " << trial;
+    EXPECT_EQ(pf.payload, payload_of(want)) << "rank " << rank << " trial " << trial;
+    EXPECT_EQ(pt.coeffs, want) << "rank " << rank << " trial " << trial;
+    EXPECT_TRUE(pt.payload.empty());
+    const auto next = r_ref();
+    ASSERT_EQ(r_full(), next) << "rank " << rank << " trial " << trial;
+    ASSERT_EQ(r_tracker(), next) << "rank " << rank << " trial " << trial;
+  }
+}
+
+TEST(RankTracker, BitCombinationStreamMatchesReferenceAtBatchEdges) {
+  for (const std::size_t r : {1u, 63u, 64u, 65u, 127u, 128u, 130u}) {
+    expect_bit_stream_matches_reference<sim::Rng>(r);
+    expect_bit_stream_matches_reference<std::mt19937>(r);
   }
 }
 
