@@ -3,11 +3,14 @@
 // These are the instruction-level hot loops of the library: scalar GF
 // multiply, axpy over coefficient rows (via the runtime-dispatched backend),
 // and the word-parallel GF(2) XOR the bit-packed decoder uses.  Every
-// available GF kernel backend (scalar / ssse3 / avx2) gets its own axpy,
-// scale and xor_words series, registered at startup, so one run prints the
-// scalar-vs-SIMD throughput table directly.  BM_XorWords_Dispatched at 1-16
-// words against the per-backend xor_words series of the same run is where
-// gf::kInlineXorWords (inline below, dispatched above) is read off.
+// available GF kernel backend (scalar / ssse3 / avx2 / gfni) gets its own
+// axpy, scale and xor_words series, registered at startup, so one run prints
+// the scalar-vs-SIMD throughput table directly.  The axpy and scale lengths
+// are 16 B and 272 B (a tail that is not a whole vector), 64 B, 1024 B,
+// 1088 B (one k = 64 row with a 1 KiB payload) and 16 KiB.
+// BM_XorWords_Dispatched at 1-16 words against the per-backend xor_words
+// series of the same run is where gf::kInlineXorWords (inline below,
+// dispatched above) is read off.
 //
 // AG_BENCH_JSON=<path> writes google-benchmark's JSON report (including
 // bytes_per_second for the throughput benches) to <path>, same knob as the
@@ -151,12 +154,12 @@ void register_backend_benches() {
   for (const be::Backend b : be::available_backends()) {
     const be::KernelTable* kt = be::table_for(b);
     const std::string name = be::to_string(b);
-    benchmark::RegisterBenchmark(("BM_Axpy_" + name).c_str(), BM_Axpy_Backend, kt)
-        ->Arg(64)
-        ->Arg(1024)
-        ->Arg(16384);
-    benchmark::RegisterBenchmark(("BM_Scale_" + name).c_str(), BM_Scale_Backend, kt)
-        ->Arg(1024);
+    for (auto* b : {benchmark::RegisterBenchmark(("BM_Axpy_" + name).c_str(),
+                                                 BM_Axpy_Backend, kt),
+                    benchmark::RegisterBenchmark(("BM_Scale_" + name).c_str(),
+                                                 BM_Scale_Backend, kt)}) {
+      b->Arg(16)->Arg(64)->Arg(272)->Arg(1024)->Arg(1088)->Arg(16384);
+    }
     benchmark::RegisterBenchmark(("BM_XorWords_" + name).c_str(),
                                  BM_XorWords_Backend, kt)
         ->Arg(1)

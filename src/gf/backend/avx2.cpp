@@ -20,12 +20,11 @@
 
 namespace ag::gf::backend {
 
-namespace {
-
-void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n) noexcept {
+// Shared with the gfni table (backend.hpp).
+void detail::xor_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
+                            std::size_t n) noexcept {
   std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
+  for (; i + 4 <= n; i += 4) {
     const __m256i d =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     const __m256i s =
@@ -36,10 +35,12 @@ void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void xor_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
+namespace {
+
+void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
                     std::size_t n) noexcept {
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  for (; i + 32 <= n; i += 32) {
     const __m256i d =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     const __m256i s =
@@ -108,7 +109,7 @@ void scale_u8_avx2(std::uint8_t* dst, std::size_t n, std::uint8_t c) noexcept {
 }
 
 constexpr KernelTable kAvx2Table{
-    axpy_u8_avx2, scale_u8_avx2, xor_bytes_avx2, xor_words_avx2,
+    axpy_u8_avx2, scale_u8_avx2, xor_bytes_avx2, detail::xor_words_avx2,
     "avx2",
 };
 

@@ -5,8 +5,9 @@
 // kernels below is the ceiling on how large an (n, k) sweep the simulator can
 // run.  This subsystem provides one portable scalar reference implementation
 // plus SSSE3 and AVX2 GF(256) kernels (classic PSHUFB split-nibble product
-// tables), selected ONCE at startup from CPUID feature detection and exposed
-// through a table of function pointers.  `gf::axpy` / `gf::scale` /
+// tables) and a GFNI + AVX-512BW kernel (one VGF2P8AFFINEQB per 64 bytes,
+// masked tails), selected ONCE at startup from CPUID feature detection and
+// exposed through a table of function pointers.  `gf::axpy` / `gf::scale` /
 // `gf::xor_words` in bulk_ops.hpp are thin dispatchers over this table, so
 // DenseDecoder, BitDecoder and all protocols pick up the fastest kernel with
 // zero call-site churn.  The exception is gf::xor_words on spans of at most
@@ -15,8 +16,9 @@
 //
 // Selection:
 //   * default: the best backend both compiled in AND supported by the CPU
-//     (AVX2 > SSSE3 > scalar);
-//   * override: the AG_GF_BACKEND environment variable (scalar|ssse3|avx2).
+//     (GFNI > AVX2 > SSSE3 > scalar);
+//   * override: the AG_GF_BACKEND environment variable
+//     (scalar|ssse3|avx2|gfni).
 //     Requesting a backend that is unknown, compiled out, or unsupported by
 //     the running CPU falls back gracefully to the detected best -- it never
 //     aborts, so a pinned CI recipe still runs on older hardware.
@@ -31,6 +33,8 @@
 // Alignment: all kernels use unaligned loads/stores, so ANY buffer is
 // correct; 32-byte aligned data additionally avoids cache-line splits, which
 // is why the decoder row arenas are 32-byte aligned and row-stride padded.
+// The gfni kernels finish a span with one masked load/store instead of a
+// scalar remainder loop; masked-off bytes are neither read nor written.
 #pragma once
 
 #include <cstddef>
@@ -57,9 +61,9 @@ struct KernelTable {
   const char* name;
 };
 
-enum class Backend : int { scalar = 0, ssse3 = 1, avx2 = 2 };
+enum class Backend : int { scalar = 0, ssse3 = 1, avx2 = 2, gfni = 3 };
 
-// Canonical lower-case name ("scalar", "ssse3", "avx2").
+// Canonical lower-case name ("scalar", "ssse3", "avx2", "gfni").
 const char* to_string(Backend b) noexcept;
 
 // Parses an AG_GF_BACKEND value; returns false for unknown names.
@@ -69,7 +73,7 @@ bool parse_backend(std::string_view s, Backend& out) noexcept;
 // the running CPU lacks the instruction set.  Backend::scalar never fails.
 const KernelTable* table_for(Backend b) noexcept;
 
-// Best backend available on this build + CPU (AVX2 > SSSE3 > scalar).
+// Best backend available on this build + CPU (GFNI > AVX2 > SSSE3 > scalar).
 Backend detect_best() noexcept;
 
 // Every backend usable right now, scalar first.
@@ -94,8 +98,16 @@ namespace detail {
 const KernelTable& scalar_kernels() noexcept;
 const KernelTable* ssse3_kernels() noexcept;
 const KernelTable* avx2_kernels() noexcept;
+const KernelTable* gfni_kernels() noexcept;
 bool cpu_has_ssse3() noexcept;
 bool cpu_has_avx2() noexcept;
+// GFNI together with AVX-512F/BW (and AVX2, for the shared xor_words).
+bool cpu_has_gfni_avx512() noexcept;
+
+// The AVX2 word XOR, which the gfni table reuses.  Defined only when the
+// AVX2 translation unit is compiled in; the build enables gfni only then.
+void xor_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
+                    std::size_t n) noexcept;
 }  // namespace detail
 
 }  // namespace ag::gf::backend

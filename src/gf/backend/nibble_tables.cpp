@@ -19,10 +19,31 @@ NibbleTables build() noexcept {
   return t;
 }
 
+AffineMatrices build_affine() noexcept {
+  AffineMatrices t{};
+  for (unsigned c = 0; c < 256; ++c) {
+    std::uint64_t m = 0;
+    for (unsigned j = 0; j < 8; ++j) {
+      const std::uint8_t p = GF256::mul(static_cast<std::uint8_t>(c),
+                                        static_cast<std::uint8_t>(1u << j));
+      for (unsigned i = 0; i < 8; ++i) {
+        if ((p >> i) & 1u) m |= std::uint64_t{1} << (8 * (7 - i) + j);
+      }
+    }
+    t[c] = m;
+  }
+  return t;
+}
+
 }  // namespace
 
 const NibbleTables& nibble_tables() noexcept {
   static const NibbleTables t = build();
+  return t;
+}
+
+const AffineMatrices& affine_matrices() noexcept {
+  static const AffineMatrices t = build_affine();
   return t;
 }
 

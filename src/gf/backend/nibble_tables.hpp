@@ -1,4 +1,6 @@
-// Split-nibble GF(256) product tables shared by the SIMD backends.
+// GF(256) product tables shared by the SIMD backends.
+//
+// Split-nibble tables (SSSE3 / AVX2):
 //
 // PSHUFB can look 16 bytes up in a 16-byte table in one instruction, so the
 // classic vector GF(256) multiply splits each source byte s into nibbles and
@@ -11,8 +13,18 @@
 // distributes over the XOR decomposition s = (s & 0xf) ^ (s >> 4 << 4).
 // The same identity drives the shared scalar tail below, so vector body and
 // tail agree byte-for-byte with each other and with the log/exp reference.
+//
+// Affine matrices (GFNI):
+//
+// Multiplying by a constant c is GF(2)-linear in the bits of x, so it is one
+// 8x8 bit matrix M_c, and VGF2P8AFFINEQB applies such a matrix to 64 bytes
+// in one instruction: result bit i = parity(byte (7 - i) of M_c & x).  So
+// byte 7 - i of M_c holds the bits j for which bit i of c * x^j is set.
+// (VGF2P8MULB cannot be used: it hard-wires the AES polynomial 0x11B, and
+// GF256 here reduces by 0x11D.)
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -26,6 +38,11 @@ struct alignas(32) NibbleTables {
 // Built once on first use from the canonical GF(256) log/exp tables
 // (8 KiB total; each 16-byte row is 16-byte aligned for _mm_load_si128).
 const NibbleTables& nibble_tables() noexcept;
+
+// affine_matrices()[c] is M_c above, built once on first use from the same
+// log/exp tables (2 KiB).
+using AffineMatrices = std::array<std::uint64_t, 256>;
+const AffineMatrices& affine_matrices() noexcept;
 
 // Scalar remainder loops used by every vector kernel after the full-vector
 // body: exact GF(256) products via the same nibble tables.

@@ -5,12 +5,12 @@
 /// combination is a sequence of axpy calls (dst += c * src), and Gaussian
 /// elimination is axpy plus scale.  The GF(256) byte kernels and the GF(2)
 /// word-XOR kernel dispatch through the runtime-selected SIMD backend
-/// (gf/backend/backend.hpp: scalar reference, SSSE3, AVX2; pick with
-/// AG_GF_BACKEND or let CPUID decide), so every decoder and protocol gets
-/// the fastest available implementation with no call-site changes.  The one
-/// exception is short GF(2) word spans (at most kInlineXorWords words):
-/// xor_words() XORs those inline, because there a call through the kernel
-/// table costs more than the XOR itself.  Other fields (GF(16), GF(2^16))
+/// (gf/backend/backend.hpp: scalar reference, SSSE3, AVX2, GFNI + AVX-512;
+/// pick with AG_GF_BACKEND or let CPUID decide), so every decoder and
+/// protocol gets the fastest available implementation with no call-site
+/// changes.  The one exception is short GF(2) word spans (at most
+/// kInlineXorWords words): xor_words() XORs those inline, because there a
+/// call through the kernel table costs more than the XOR itself.  Other fields (GF(16), GF(2^16))
 /// use the generic per-element loops below.
 ///
 /// Contract:
@@ -65,7 +65,8 @@ inline void xor_bytes(std::span<std::uint8_t> dst,
 }
 
 /// GF(256) axpy: dst[i] ^= c * src[i], routed through the active backend
-/// (PSHUFB split-nibble kernels under SSSE3/AVX2, log/exp loop under scalar).
+/// (one affine bit-matrix instruction per 64 bytes under gfni, PSHUFB
+/// split-nibble kernels under SSSE3/AVX2, log/exp loop under scalar).
 inline void axpy_gf256(std::span<std::uint8_t> dst,
                        std::span<const std::uint8_t> src,
                        std::uint8_t c) noexcept {
@@ -126,7 +127,7 @@ inline constexpr std::size_t kInlineXorWords = 4;
 
 /// Word-parallel XOR for bit-packed GF(2) rows: dst ^= src.  Spans of at most
 /// kInlineXorWords words are XORed inline; longer ones go through the active
-/// backend (128/256-bit vector XOR under SSSE3/AVX2).
+/// backend (128/256-bit vector XOR under SSSE3, AVX2 and gfni).
 inline void xor_words(std::span<std::uint64_t> dst,
                       std::span<const std::uint64_t> src) noexcept {
   assert(dst.size() == src.size() && "gf::xor_words: span length mismatch");

@@ -328,6 +328,12 @@ struct DenseCodec {
   static DecodeStatus get_symbols(const std::uint8_t* src, std::size_t n,
                                   std::vector<value_type>& out) {
     out.resize(n);
+    // A one-byte field that fills its byte (GF(256)) has no out-of-range
+    // value, so the body is copied as is.
+    if constexpr (kSymBytes == 1 && F::order == 256) {
+      if (n != 0) std::memcpy(out.data(), src, n);
+      return DecodeStatus::Ok;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       std::uint32_t v;
       if constexpr (kSymBytes == 1) {

@@ -3,21 +3,28 @@
 // Every backend this build + CPU provides is checked byte-for-byte against
 // an elementwise GF(256) reference (and against the scalar backend, which is
 // the shipped reference implementation) over:
-//   * lengths 0..130 -- crosses the 16-byte SSSE3 and 32-byte AVX2 vector
-//     widths several times, including every tail size;
+//   * lengths 0..130 -- crosses the 16-byte SSSE3, 32-byte AVX2 and 64-byte
+//     GFNI vector widths, including every tail size (the gfni kernels run
+//     their tails under a byte mask);
 //   * unaligned source/destination offsets 0..31 -- no kernel may require
 //     alignment;
 //   * all 256 multiplicands at spot lengths -- the split-nibble tables must
 //     agree with log/exp multiplication everywhere, including c = 0 / 1.
 // Buffers carry guard bands, so a kernel that over-reads is caught by ASan
-// (CI forces AG_GF_BACKEND=avx2 under ASan) and a kernel that over-WRITES is
-// caught right here by the guard comparison.
+// (CI forces AG_GF_BACKEND=avx2 and =gfni under ASan) and a kernel that
+// over-WRITES is caught right here by the guard comparison.
+//
+// The gfni kernels multiply with 8x8 bit matrices; GfAffineMatrices pins the
+// matrix table against GF256::mul with a scalar model of the instruction, so
+// the derivation is checked on every CPU, including those that cannot run
+// the kernel.
 //
 // The dispatch tests assert the AG_GF_BACKEND forcing contract: every
 // available backend can be forced by name, and unknown or unavailable names
 // fall back gracefully to the detected best instead of aborting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -25,6 +32,7 @@
 #include <vector>
 
 #include "gf/backend/backend.hpp"
+#include "gf/backend/nibble_tables.hpp"
 #include "gf/bulk_ops.hpp"
 #include "gf/gf2m.hpp"
 
@@ -236,6 +244,29 @@ TEST(GfXorWords, PublicPathMatchesScalarReference) {
   }
 }
 
+// Scalar model of VGF2P8AFFINEQB for one byte with imm8 = 0: result bit i is
+// the parity of (matrix byte 7 - i) & x.
+std::uint8_t affine_byte(std::uint64_t matrix, std::uint8_t x) {
+  unsigned r = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    const auto row = static_cast<std::uint8_t>(matrix >> (8 * (7 - i)));
+    r |= (static_cast<unsigned>(std::popcount(static_cast<unsigned>(row & x))) & 1u)
+         << i;
+  }
+  return static_cast<std::uint8_t>(r);
+}
+
+TEST(GfAffineMatrices, ModelOfAffineInstructionEqualsFieldMultiply) {
+  const auto& m = be::detail::affine_matrices();
+  for (unsigned c = 0; c < 256; ++c) {
+    for (unsigned x = 0; x < 256; ++x) {
+      ASSERT_EQ(affine_byte(m[c], static_cast<std::uint8_t>(x)),
+                GF256::mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x)))
+          << "c=" << c << " x=" << x;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch contract
 // ---------------------------------------------------------------------------
@@ -289,7 +320,7 @@ TEST_F(GfBackendDispatch, UnknownNameFallsBackToDetectedBest) {
 TEST_F(GfBackendDispatch, UnavailableBackendFallsBackGracefully) {
   // Request every backend we know the NAME of; whether or not this build/CPU
   // provides it, selection must land on a non-null kernel table.
-  for (const char* name : {"scalar", "ssse3", "avx2"}) {
+  for (const char* name : {"scalar", "ssse3", "avx2", "gfni"}) {
     ::setenv("AG_GF_BACKEND", name, 1);
     const be::Backend got = be::reselect();
     EXPECT_NE(be::table_for(got), nullptr) << "forced " << name;
@@ -301,6 +332,21 @@ TEST_F(GfBackendDispatch, UnavailableBackendFallsBackGracefully) {
       EXPECT_EQ(got, be::detect_best()) << "unavailable backend must fall back";
     }
   }
+}
+
+// Forcing gfni must make it the active backend wherever it exists.  Where it
+// does not, the fallback is correct behaviour but would re-test another
+// backend under the gfni name, so the test reports a skip instead of a pass.
+TEST_F(GfBackendDispatch, ForcedGfniIsActiveWhereAvailable) {
+  if (be::table_for(be::Backend::gfni) == nullptr) {
+    GTEST_SKIP() << "this build or CPU lacks GFNI + AVX-512BW; forcing gfni "
+                    "falls back to "
+                 << be::to_string(be::detect_best());
+  }
+  ::setenv("AG_GF_BACKEND", "gfni", 1);
+  EXPECT_EQ(be::reselect(), be::Backend::gfni);
+  EXPECT_EQ(be::active_backend(), be::Backend::gfni);
+  EXPECT_STREQ(be::active().name, "gfni");
 }
 
 TEST_F(GfBackendDispatch, UnsetEnvSelectsDetectedBest) {
