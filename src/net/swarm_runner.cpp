@@ -37,6 +37,14 @@ struct Bitmap {
   std::size_t n_;
 };
 
+// True when some of the swarm's n nodes live in another process.  Only then
+// can a grace tick's wait hear anything: loopback delivery to a local socket
+// completes inside sendto, so the drain before the wait has already emptied
+// every socket and the wait would just sleep out its timeout.
+bool has_remote_peers(const UdpTransport<Gf256Packet>& transport, std::size_t n) {
+  return transport.local_nodes().size() < n;
+}
+
 }  // namespace
 
 SwarmReport run_swarm(UdpTransport<Gf256Packet>& transport, const SwarmConfig& cfg) {
@@ -105,14 +113,17 @@ SwarmReport run_swarm(UdpTransport<Gf256Packet>& transport, const SwarmConfig& c
   report.completed = done.all();
 
   // Grace burst: a process that learned completion last may have peers still
-  // waiting on its bitmap; keep gossiping it briefly before exiting.
+  // waiting on its bitmap; keep gossiping it briefly before exiting.  The
+  // sends and drains run either way (same traffic and counters); only the
+  // wait is skipped when no remote process exists to wait for.
   if (report.completed) {
+    const bool remote = has_remote_peers(transport, cfg.n);
     for (int g = 0; g < cfg.grace_ticks; ++g) {
       for (const NodeId v : local) send_bitmap(v);
       auto thunk = deliver_fn;
       transport.drain(sim::DeliverRef<Gf256Packet>(thunk));
       transport.take_control();
-      transport.wait_readable(1);
+      if (remote) transport.wait_readable(1);
     }
   }
 
@@ -355,14 +366,16 @@ StreamSwarmReport run_stream_swarm(UdpTransport<Gf256Packet>& transport,
 
   report.completed = wm.min() >= total_gens && !timed_out;
 
-  // Grace burst: peers may still be waiting on our watermarks.
+  // Grace burst: peers in other processes may still be waiting on our
+  // watermarks.  As in run_swarm, the wait runs only when they exist.
   if (report.completed) {
+    const bool remote = has_remote_peers(transport, cfg.n);
     for (int b = 0; b < cfg.grace_ticks; ++b) {
       for (const NodeId v : local) send_watermarks(v);
       transport.drain_generations(
           [](NodeId, NodeId, std::uint32_t, const Gf256Packet&) {});
       transport.take_control();
-      transport.wait_readable(1);
+      if (remote) transport.wait_readable(1);
     }
   }
 

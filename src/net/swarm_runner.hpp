@@ -17,7 +17,11 @@
 /// every bitmap it hears via control frames, and keeps transmitting until
 /// the bitmap is all-ones -- then sends a short grace burst of bitmap
 /// broadcasts so laggard processes learn completion too, verifies its local
-/// decoded payloads byte-for-byte against the source, and returns.
+/// decoded payloads byte-for-byte against the source, and returns.  Each
+/// grace tick sends and drains; only when some node lives in another process
+/// does it also wait up to 1 ms for traffic.  A transport hosting all n nodes
+/// skips that wait: loopback delivery to a local socket completes inside
+/// sendto, so nothing can arrive during it.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,8 @@ struct SwarmConfig {
   std::size_t payload_len = 32;  ///< bytes per block
   std::uint64_t seed = 7;        ///< per-process RNG seed material
   int timeout_ms = 30000;        ///< wall-clock budget before giving up
-  int grace_ticks = 32;          ///< completion-bitmap broadcasts after done
+  int grace_ticks = 32;          ///< completion-bitmap broadcasts after done (each
+                                 ///< waits 1 ms for traffic only with remote peers)
 };
 
 struct SwarmReport {
@@ -72,7 +77,8 @@ struct StreamSwarmConfig {
   coding::StreamConfig stream;   ///< generation size / window / policy / stream length
   std::uint64_t seed = 7;        ///< per-process RNG seed material
   int timeout_ms = 60000;        ///< wall-clock budget before giving up
-  int grace_ticks = 32;          ///< watermark broadcasts after completion
+  int grace_ticks = 32;          ///< watermark broadcasts after completion (each
+                                 ///< waits 1 ms for traffic only with remote peers)
 };
 
 struct StreamSwarmReport {

@@ -16,10 +16,6 @@ namespace ag::net {
 
 namespace {
 
-// Largest datagram we ever read; comfortably above any frame this repo's
-// configurations produce and below the loopback MTU ceiling.
-constexpr std::size_t kMaxDatagram = 65536;
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -107,20 +103,24 @@ bool UdpSocketSet::send_to(std::size_t i, Endpoint dst, const std::uint8_t* data
   return n == static_cast<ssize_t>(len);
 }
 
-bool UdpSocketSet::recv_one(Datagram& meta, std::vector<std::uint8_t>& buf) {
+bool UdpSocketSet::recv_one(Datagram& meta, std::span<const std::uint8_t>& frame) {
+  // One buffer for the set's lifetime, never zero-filled: recvfrom writes
+  // the datagram and the view covers only the bytes it wrote, so a receive
+  // costs the datagram's length, not kMaxDatagram.  Allocated lazily, so a
+  // set that only ever sends (the multi-process launcher's) owns no buffer.
+  if (!rx_buf_) rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kMaxDatagram);
   // Level-triggered epoll: refill the ready queue when empty, then read one
   // datagram from the front socket.  A socket stays at the front until its
   // queue is empty (EAGAIN), so bursts drain without re-polling per packet.
   for (int attempts = 0; attempts < 2; ++attempts) {
     while (!ready_.empty()) {
       const std::size_t idx = ready_.front();
-      buf.resize(kMaxDatagram);
       sockaddr_in sa{};
       socklen_t salen = sizeof(sa);
-      const ssize_t n = ::recvfrom(fds_[idx], buf.data(), buf.size(), 0,
+      const ssize_t n = ::recvfrom(fds_[idx], rx_buf_.get(), kMaxDatagram, 0,
                                    reinterpret_cast<sockaddr*>(&sa), &salen);
       if (n >= 0) {
-        buf.resize(static_cast<std::size_t>(n));
+        frame = std::span<const std::uint8_t>(rx_buf_.get(), static_cast<std::size_t>(n));
         meta.socket = idx;
         meta.src = from_sockaddr(sa);
         return true;
@@ -185,7 +185,7 @@ std::uint16_t UdpSocketSet::port(std::size_t) const { return 0; }
 bool UdpSocketSet::send_to(std::size_t, Endpoint, const std::uint8_t*, std::size_t) {
   return false;
 }
-bool UdpSocketSet::recv_one(Datagram&, std::vector<std::uint8_t>&) { return false; }
+bool UdpSocketSet::recv_one(Datagram&, std::span<const std::uint8_t>&) { return false; }
 bool UdpSocketSet::wait_readable(int) { return false; }
 void UdpSocketSet::close_all() { fds_.clear(); }
 void UdpSocketSet::forget_sockets() { fds_.clear(); }

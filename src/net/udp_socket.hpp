@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/endpoint.hpp"
@@ -25,6 +27,10 @@ namespace ag::net {
 
 class UdpSocketSet {
  public:
+  /// Largest datagram recv_one reads: above the IPv4 UDP payload ceiling
+  /// (65507 bytes), so no loopback datagram is ever truncated.
+  static constexpr std::size_t kMaxDatagram = 65536;
+
   UdpSocketSet() = default;
   ~UdpSocketSet() { close_all(); }
   UdpSocketSet(const UdpSocketSet&) = delete;
@@ -57,9 +63,13 @@ class UdpSocketSet {
     Endpoint src;            ///< sender address (host order)
   };
 
-  /// Receives one datagram from any readable socket into `buf` (resized to
-  /// the datagram length).  False when nothing is readable right now.
-  bool recv_one(Datagram& meta, std::vector<std::uint8_t>& buf);
+  /// Receives one datagram from any readable socket.  On success `frame`
+  /// views exactly the datagram's bytes inside the set's own receive buffer
+  /// (kMaxDatagram bytes, allocated on the first receive and never zeroed
+  /// again).  The view stays valid until the next recv_one call on this set
+  /// or the set's destruction -- copy anything that must outlive it.  False
+  /// when nothing is readable right now; `frame` is then left untouched.
+  bool recv_one(Datagram& meta, std::span<const std::uint8_t>& frame);
 
   /// Count of hard recvfrom failures seen by recv_one -- anything other
   /// than EAGAIN/EWOULDBLOCK, e.g. a queued ECONNREFUSED from an ICMP
@@ -87,6 +97,7 @@ class UdpSocketSet {
   int epoll_fd_ = -1;
   std::uint64_t recv_errors_ = 0;
   std::deque<std::size_t> ready_;  // socket indices epoll reported readable
+  std::unique_ptr<std::uint8_t[]> rx_buf_;  // kMaxDatagram bytes, recv_one's target
 };
 
 }  // namespace ag::net

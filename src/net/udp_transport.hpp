@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,36 +76,8 @@ class UdpTransport final : public sim::Transport<Msg> {
   }
 
   void drain(sim::DeliverRef<Msg> deliver) override {
-    UdpSocketSet::Datagram meta;
-    while (socks_.recv_one(meta, rx_buf_)) {
-      stats_.bytes_received += rx_buf_.size();
-      const NodeId to = local_nodes_[meta.socket];
-      const NodeId from = table_.node_of(meta.src);
-      if (from == kUnknownNode) {
-        ++stats_.decode_failures;
-        continue;
-      }
-      const std::span<const std::uint8_t> frame(rx_buf_);
-      WireHeader h;
-      if (read_header(frame, h) == DecodeStatus::Ok && h.field == WireField::Control) {
-        ControlFrame cf;
-        if (decode_control(frame, cf) == DecodeStatus::Ok) {
-          control_inbox_.push_back(std::move(cf));
-        } else {
-          ++stats_.decode_failures;
-        }
-        continue;
-      }
-      if (decode_into(frame, k_, payload_len_, rx_pkt_) != DecodeStatus::Ok) {
-        ++stats_.decode_failures;
-        continue;
-      }
-      ++stats_.messages_delivered;
-      deliver(from, to, rx_pkt_);
-    }
-    // The socket set counts hard recvfrom failures (ECONNREFUSED etc.)
-    // across every drain; mirror the running total into the stats surface.
-    stats_.recv_errors = socks_.recv_errors();
+    drain_generations([&deliver](NodeId from, NodeId to, std::uint32_t /*generation*/,
+                                 const Msg& msg) { deliver(from, to, msg); });
   }
 
   /// Sends a coded frame tagged with a wire-v2 generation id.  Not part of
@@ -122,20 +95,21 @@ class UdpTransport final : public sim::Transport<Msg> {
   }
 
   /// drain() variant that also hands the frame's generation id to the
-  /// callback as `deliver(from, to, generation, msg)`.  Control frames are
-  /// queued on the side inbox exactly as in drain().
+  /// callback as `deliver(from, to, generation, msg)`; drain() is this with
+  /// the id dropped.  Each frame is decoded straight from the socket set's
+  /// receive buffer (no copy); control frames go to the side inbox.
   template <typename Fn>
   void drain_generations(Fn&& deliver) {
     UdpSocketSet::Datagram meta;
-    while (socks_.recv_one(meta, rx_buf_)) {
-      stats_.bytes_received += rx_buf_.size();
+    std::span<const std::uint8_t> frame;  // views the socket set's receive buffer
+    while (socks_.recv_one(meta, frame)) {
+      stats_.bytes_received += frame.size();
       const NodeId to = local_nodes_[meta.socket];
       const NodeId from = table_.node_of(meta.src);
       if (from == kUnknownNode) {
         ++stats_.decode_failures;
         continue;
       }
-      const std::span<const std::uint8_t> frame(rx_buf_);
       WireHeader h;
       if (read_header(frame, h) == DecodeStatus::Ok && h.field == WireField::Control) {
         ControlFrame cf;
@@ -153,6 +127,8 @@ class UdpTransport final : public sim::Transport<Msg> {
       ++stats_.messages_delivered;
       deliver(from, to, h.generation, rx_pkt_);
     }
+    // The socket set counts hard recvfrom failures (ECONNREFUSED etc.)
+    // across every drain; mirror the running total into the stats surface.
     stats_.recv_errors = socks_.recv_errors();
   }
 
@@ -200,8 +176,8 @@ class UdpTransport final : public sim::Transport<Msg> {
   std::vector<std::size_t> slot_of_;     // node -> socket slot (kNoSlot if remote)
   std::size_t k_;
   std::size_t payload_len_;
-  std::vector<std::uint8_t> tx_buf_, rx_buf_;  // reused frame scratch
-  Msg rx_pkt_{};                               // reused decode target
+  std::vector<std::uint8_t> tx_buf_;  // reused send-frame scratch
+  Msg rx_pkt_{};                      // reused decode target
   std::vector<ControlFrame> control_inbox_;
   sim::TransportStats stats_;
   sim::Channel channel_;  // synthetic loss on top of the real link

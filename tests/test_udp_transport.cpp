@@ -3,7 +3,9 @@
 // parallel-safe; on platforms without the socket backend every test skips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #if defined(__linux__)
@@ -84,6 +86,37 @@ TEST(UdpTransport, LoopbackSendDrainDeliversVerbatim) {
   EXPECT_EQ(s.bytes_sent, s.bytes_received);
 }
 
+// recv_one views the set's one receive buffer: every view must be exactly
+// the datagram just read, with its own length -- a short datagram after the
+// IPv4 maximum must not report (or expose) the larger one's bytes.
+TEST(UdpSocketSet, RecvOneViewsEachDatagramExactly) {
+  REQUIRE_SOCKETS();
+  net::UdpSocketSet socks;
+  ASSERT_TRUE(socks.open_loopback(2));
+  net::UdpSocketSet::Datagram meta;
+  std::span<const std::uint8_t> view;
+  EXPECT_FALSE(socks.recv_one(meta, view)) << "a fresh set has nothing to read";
+
+  const net::Endpoint dst{net::kLoopbackAddr, socks.port(1)};
+  const net::Endpoint src{net::kLoopbackAddr, socks.port(0)};
+  for (const std::size_t len : {std::size_t{8}, std::size_t{1088}, std::size_t{65507},
+                                std::size_t{1}}) {
+    std::vector<std::uint8_t> sent(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      sent[i] = static_cast<std::uint8_t>(i * 131 + len);
+    }
+    ASSERT_TRUE(socks.send_to(0, dst, sent.data(), sent.size())) << len << " B";
+    ASSERT_TRUE(socks.wait_readable(2000)) << len << " B";
+    ASSERT_TRUE(socks.recv_one(meta, view)) << len << " B";
+    EXPECT_EQ(meta.socket, 1u);
+    EXPECT_EQ(meta.src, src);
+    ASSERT_EQ(view.size(), len);
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), sent.begin())) << len << " B";
+  }
+  EXPECT_FALSE(socks.recv_one(meta, view)) << "a drained set must report dry";
+  EXPECT_EQ(socks.recv_errors(), 0u);
+}
+
 #if defined(__linux__)
 // A hard receive failure must be counted, not conflated with "socket is
 // dry".  Deterministic recipe: connect() the UDP socket to a port that was
@@ -118,7 +151,7 @@ TEST(UdpSocketSet, HardRecvErrorsCountedNotSilentlyDry) {
   // The pending error makes the socket "readable" (EPOLLERR); recv_one must
   // consume it as an error, deliver nothing, and count it.
   net::UdpSocketSet::Datagram meta;
-  std::vector<std::uint8_t> buf;
+  std::span<const std::uint8_t> buf;
   bool got = false;
   for (int i = 0; i < 50 && socks.recv_errors() == 0; ++i) {
     socks.wait_readable(100);
@@ -249,6 +282,38 @@ TEST(SwarmRunner, InProcessLoopbackSwarmCompletesAndVerifies) {
   EXPECT_GT(rep.ticks, 0u);
   EXPECT_EQ(rep.transport.decode_failures, 0u);
   EXPECT_GT(rep.transport.messages_delivered, 0u);
+}
+
+// One all-local transport reused for back-to-back files.  Without remote
+// peers the grace burst skips its waits, but it must still send and drain
+// every bitmap: nothing may stay queued for the next file to read as a
+// stale completion, and every byte sent must have been received.
+TEST(SwarmRunner, BackToBackRunsOnOneAllLocalTransportLeaveNothingQueued) {
+  REQUIRE_SOCKETS();
+  net::SwarmConfig cfg;
+  cfg.n = 8;
+  cfg.k = 8;
+  cfg.payload_len = 8;
+  cfg.timeout_ms = 30000;
+
+  net::UdpSocketSet socks;
+  ASSERT_TRUE(socks.open_loopback(cfg.n));
+  net::EndpointTable table(cfg.n);
+  std::vector<net::NodeId> local;
+  for (std::size_t v = 0; v < cfg.n; ++v) {
+    table.set(static_cast<net::NodeId>(v), {net::kLoopbackAddr, socks.port(v)});
+    local.push_back(static_cast<net::NodeId>(v));
+  }
+  net::UdpTransport<Gf256Packet> t(socks, table, local, cfg.k, cfg.payload_len);
+
+  for (const std::uint64_t seed : {std::uint64_t{31}, std::uint64_t{32}}) {
+    cfg.seed = seed;
+    const net::SwarmReport rep = net::run_swarm(t, cfg);
+    EXPECT_TRUE(rep.ok()) << "seed " << seed;
+    EXPECT_FALSE(t.wait_readable(0)) << "seed " << seed << ": a frame was left queued";
+    EXPECT_EQ(rep.transport.bytes_sent, rep.transport.bytes_received) << "seed " << seed;
+    EXPECT_EQ(rep.transport.decode_failures, 0u) << "seed " << seed;
+  }
 }
 
 }  // namespace
